@@ -52,8 +52,8 @@ class RankingRecommender:
     def rank(self, user_model: Any, candidates: Sequence[Doc]) -> list[RankedItem]:
         """Candidates in decreasing similarity to the user model."""
         scored = [
-            RankedItem(position=i, score=float(self.model.score(user_model, self.model.represent(doc))))
-            for i, doc in enumerate(candidates)
+            RankedItem(position=i, score=float(self.model.score(user_model, doc_model)))
+            for i, doc_model in enumerate(self.model.represent_many(candidates))
         ]
         scored.sort(key=lambda item: (-item.score, item.position))
         return scored

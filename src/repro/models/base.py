@@ -127,6 +127,7 @@ class ProfileState(abc.ABC):
                     f"keys length {len(keys)} does not match docs length {len(docs)}"
                 )
             order = sorted(range(len(docs)), key=lambda i: keys[i])
+        entries: list[tuple[Any, Doc, int | None]] = []
         for position, index in enumerate(order):
             key = keys[index] if keys is not None else self._seen + position
             if self._last_key is not None and key < self._last_key:
@@ -136,10 +137,19 @@ class ProfileState(abc.ABC):
                     f"{self._last_key!r}"
                 )
             self._last_key = key
-            label = labels[index] if labels is not None else None
-            self._fold(key, docs[index], label)
+            entries.append((key, docs[index], labels[index] if labels is not None else None))
+        self._fold_many(entries)
         self._seen += len(docs)
         return self
+
+    def _fold_many(self, entries: list[tuple[Any, Doc, int | None]]) -> None:
+        """Fold ``(key, doc, label)`` entries, already in fold order.
+
+        Folds one at a time; families whose representation is cheaper in
+        bulk (topic fold-in) override this.
+        """
+        for key, doc, label in entries:
+            self._fold(key, doc, label)
 
     @abc.abstractmethod
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
@@ -176,6 +186,14 @@ class RepresentationModel(abc.ABC):
     @abc.abstractmethod
     def represent(self, doc: Doc) -> Any:
         """Map one document to this model's representation space."""
+
+    def represent_many(self, docs: Sequence[Doc]) -> list[Any]:
+        """:meth:`represent` of each document, in order.
+
+        Equal to one :meth:`represent` call per document; models whose
+        representation is cheaper in bulk override it.
+        """
+        return [self.represent(doc) for doc in docs]
 
     @abc.abstractmethod
     def build_user_model(

@@ -11,9 +11,14 @@ All topic models in the paper follow the same usage protocol (Section 3.2,
    training tweets' distributions;
 5. candidate tweets are ranked by cosine similarity to the user model.
 
-Subclasses implement two hooks: :meth:`TopicModel._train` (fit the model
-on encoded pseudo-documents) and :meth:`TopicModel._infer` (fold in one
-encoded document and return its topic distribution).
+Subclasses implement :meth:`TopicModel._train` (fit the model on encoded
+pseudo-documents) and one of two inference hooks:
+:meth:`TopicModel._infer` (the topic distribution of one encoded
+document) or :meth:`TopicModel._infer_many` (of many at once). The Gibbs
+samplers (LDA, LLDA, HDP, HLDA) implement the batched hook through
+:meth:`TopicModel._fold_in`, which runs the exact batched kernel
+:func:`repro.models.topic.gibbs.fold_in`; a profile update or a re-rank
+folds all its documents in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from repro.errors import ConfigurationError, EmptyCorpusError, NotFittedError, ValidationError
 from repro.models.aggregation import AggregationFunction
 from repro.models.base import Doc, ProfileState, RepresentationModel
-from repro.models.topic.gibbs import IterationHook
+from repro.models.topic.gibbs import IterationHook, fold_in
 from repro.text.pooling import PoolingScheme, pool_documents
 from repro.text.vocabulary import Vocabulary
 
@@ -150,7 +155,13 @@ class TopicProfileState(ProfileState):
         self._entries: list[tuple[Any, np.ndarray, int | None]] = []
 
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
-        self._entries.append((key, self._model.represent(doc), label))
+        self._fold_many([(key, doc, label)])
+
+    def _fold_many(self, entries: list[tuple[Any, Doc, int | None]]) -> None:
+        thetas = self._model.represent_many([doc for _, doc, _ in entries])
+        self._entries.extend(
+            (key, theta, label) for (key, _, label), theta in zip(entries, thetas)
+        )
 
     def _labels(self) -> list[int]:
         if any(label is None for _, _, label in self._entries):
@@ -267,9 +278,13 @@ class TopicModel(RepresentationModel):
         by LLDA for label extraction).
         """
 
-    @abc.abstractmethod
     def _infer(self, doc: list[int]) -> np.ndarray:
         """Topic distribution of one encoded (unseen) document."""
+        raise NotImplementedError(f"{type(self).__name__} implements neither inference hook")
+
+    def _infer_many(self, encoded: list[list[int]]) -> list[np.ndarray]:
+        """Topic distributions of encoded documents, in order."""
+        return [self._infer(doc) for doc in encoded]
 
     @property
     @abc.abstractmethod
@@ -303,17 +318,12 @@ class TopicModel(RepresentationModel):
         return int.from_bytes(digest[:8], "big")
 
     def represent(self, doc: Doc) -> np.ndarray:
+        return self.represent_many([doc])[0]
+
+    def represent_many(self, docs: Sequence[Doc]) -> list[np.ndarray]:
         if self._vocabulary is None:
             raise NotFittedError(f"{type(self).__name__}.fit was never called")
-        encoded = self._vocabulary.encode(list(doc.tokens))
-        if not self.deterministic_inference:
-            return self._infer(encoded)
-        shared_rng = self._rng
-        self._rng = np.random.default_rng(self._doc_rng_seed(encoded))
-        try:
-            return self._infer(encoded)
-        finally:
-            self._rng = shared_rng
+        return self._infer_many([self._vocabulary.encode(list(doc.tokens)) for doc in docs])
 
     def build_user_model(
         self,
@@ -352,6 +362,49 @@ class TopicModel(RepresentationModel):
         return params
 
     # -- helpers for subclasses ----------------------------------------------
+
+    def _fold_in(
+        self,
+        encoded: list[list[int]],
+        columns: Callable[[int], np.ndarray],
+        prior: float | np.ndarray,
+    ) -> list[np.ndarray | None]:
+        """Fold-in topic counts of each document; ``None`` for empty ones.
+
+        ``columns(d)`` is the K x len(encoded[d]) likelihood matrix the
+        sampler weighs against ``prior`` (see
+        :func:`~repro.models.topic.gibbs.fold_in`). Documents draw from
+        the shared RNG in order or, under ``deterministic_inference``,
+        each from its own; empty documents draw nothing.
+        """
+        live = [d for d, doc in enumerate(encoded) if doc]
+        counts: list[np.ndarray | None] = [None] * len(encoded)
+        if live:
+            rngs = [
+                np.random.default_rng(self._doc_rng_seed(encoded[d]))
+                if self.deterministic_inference else self._rng
+                for d in live
+            ]
+            folded = fold_in([columns(d) for d in live], prior, self.infer_iterations, rngs)
+            for d, row in zip(live, folded):
+                counts[d] = row
+        return counts
+
+    def _fold_in_mixtures(
+        self, encoded: list[list[int]], phi: np.ndarray, prior: float | np.ndarray
+    ) -> list[np.ndarray]:
+        """``θ ∝ n_dk + prior`` after fold-in against topic-word ``phi``.
+
+        Documents without in-vocabulary tokens get the uniform mixture.
+        """
+        thetas = []
+        for n_dk in self._fold_in(encoded, lambda d: phi[:, encoded[d]], prior):
+            if n_dk is None:
+                thetas.append(self._uniform_theta())
+            else:
+                theta = n_dk + prior
+                thetas.append(theta / theta.sum())
+        return thetas
 
     def _uniform_theta(self) -> np.ndarray:
         """Fallback distribution for documents with no in-vocab tokens."""

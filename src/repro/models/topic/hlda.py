@@ -348,46 +348,43 @@ class HldaModel(TopicModel):
 
     # -- inference --------------------------------------------------------------
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
-        if self._node_phi is None:
-            raise NotFittedError("HldaModel.fit was never called")
-        if not doc or not self._paths_matrix:
-            return self._uniform_theta()
-        rng = self._rng
-        phi = self._node_phi
-
-        # Pick the path with the highest likelihood under a uniform level mix,
-        # then estimate the level distribution by fold-in Gibbs on that path.
+    def _best_path(self, doc: list[int]) -> list[int]:
+        """The path with the highest likelihood under a uniform level mix."""
+        assert self._node_phi is not None
         word_ids = np.array(doc)
         best_path: list[int] | None = None
         best_score = -np.inf
         for path in self._paths_matrix:
-            level_phi = phi[path][:, word_ids]  # L x N
+            level_phi = self._node_phi[path][:, word_ids]  # L x N
             score = float(np.log(level_phi.mean(axis=0) + 1e-12).sum())
             if score > best_score:
                 best_score = score
                 best_path = path
         assert best_path is not None
+        return best_path
 
-        n_dl = np.zeros(self.levels)
-        z = rng.integers(self.levels, size=len(doc))
-        for level in z:
-            n_dl[level] += 1
-        path_phi = phi[best_path]  # L x V
-        for _ in range(self.infer_iterations):
-            for i, w in enumerate(doc):
-                level = z[i]
-                n_dl[level] -= 1
-                weights = (n_dl + self.alpha) * path_phi[:, w]
-                level = sample_index(weights, rng)
-                z[i] = level
-                n_dl[level] += 1
+    def _infer_many(self, encoded: list[list[int]]) -> list[np.ndarray]:
+        if self._node_phi is None:
+            raise NotFittedError("HldaModel.fit was never called")
+        if not self._paths_matrix:
+            return [self._uniform_theta() for _ in encoded]
+        phi = self._node_phi
 
-        theta = np.zeros(self._n_nodes)
-        level_mix = (n_dl + self.alpha) / (n_dl.sum() + self.levels * self.alpha)
-        for level, node_id in enumerate(best_path):
-            theta[node_id] += level_mix[level]
-        return theta
+        # Pick each document's best path, then estimate its level
+        # distribution by fold-in Gibbs on that path.
+        paths = [self._best_path(doc) if doc else [] for doc in encoded]
+        counts = self._fold_in(encoded, lambda d: phi[paths[d]][:, encoded[d]], self.alpha)
+        thetas = []
+        for path, n_dl in zip(paths, counts):
+            if n_dl is None:
+                thetas.append(self._uniform_theta())
+                continue
+            theta = np.zeros(self._n_nodes)
+            level_mix = (n_dl + self.alpha) / (n_dl.sum() + self.levels * self.alpha)
+            for level, node_id in enumerate(path):
+                theta[node_id] += level_mix[level]
+            thetas.append(theta)
+        return thetas
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import notify_iteration, sample_index
+from repro.models.topic.gibbs import lda_sweep, notify_iteration
 
 __all__ = ["LdaModel"]
 
@@ -56,6 +56,8 @@ class LdaModel(TopicModel):
         self._n_topics = n_topics
         self.alpha = 50.0 / n_topics if alpha is None else alpha
         self.beta = beta
+        if not (self.alpha > 0 and beta > 0):
+            raise ConfigurationError(f"alpha and beta must be > 0, got {self.alpha}, {beta}")
         self._phi: np.ndarray | None = None  # K x V topic-word distributions
 
     @property
@@ -77,7 +79,7 @@ class LdaModel(TopicModel):
         rng = self._rng
 
         n_dk = np.zeros((len(docs), k))
-        n_kw = np.zeros((k, vocab_size))
+        n_wk = np.zeros((vocab_size, k))  # word-major: one word's counts are a row
         n_k = np.zeros(k)
         assignments: list[np.ndarray] = []
 
@@ -86,31 +88,19 @@ class LdaModel(TopicModel):
             assignments.append(z)
             for w, topic in zip(doc, z):
                 n_dk[d, topic] += 1
-                n_kw[topic, w] += 1
+                n_wk[w, topic] += 1
                 n_k[topic] += 1
 
         v_beta = vocab_size * self.beta
         for iteration in range(self.iterations):
-            for d, doc in enumerate(docs):
-                z = assignments[d]
-                for i, w in enumerate(doc):
-                    topic = z[i]
-                    n_dk[d, topic] -= 1
-                    n_kw[topic, w] -= 1
-                    n_k[topic] -= 1
-                    weights = (n_dk[d] + self.alpha) * (n_kw[:, w] + self.beta) / (n_k + v_beta)
-                    topic = sample_index(weights, rng)
-                    z[i] = topic
-                    n_dk[d, topic] += 1
-                    n_kw[topic, w] += 1
-                    n_k[topic] += 1
+            lda_sweep(docs, assignments, n_dk, n_wk, n_k, self.alpha, self.beta, rng)
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations,
-                self._corpus_log_likelihood(docs, n_dk, n_kw, n_k, v_beta)
+                self._corpus_log_likelihood(docs, n_dk, n_wk.T, n_k, v_beta)
                 if self.iteration_hook is not None else None,
             )
 
-        self._phi = (n_kw + self.beta) / (n_k[:, None] + v_beta)
+        self._phi = np.ascontiguousarray((n_wk.T + self.beta) / (n_k[:, None] + v_beta))
 
     def _corpus_log_likelihood(
         self,
@@ -138,31 +128,10 @@ class LdaModel(TopicModel):
 
     # -- inference ------------------------------------------------------------
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
+    def _infer_many(self, encoded: list[list[int]]) -> list[np.ndarray]:
         if self._phi is None:
             raise NotFittedError("LdaModel.fit was never called")
-        if not doc:
-            return self._uniform_theta()
-        k = self._n_topics
-        rng = self._rng
-        phi = self._phi
-
-        n_dk = np.zeros(k)
-        z = rng.integers(k, size=len(doc))
-        for topic in z:
-            n_dk[topic] += 1
-
-        for _ in range(self.infer_iterations):
-            for i, w in enumerate(doc):
-                topic = z[i]
-                n_dk[topic] -= 1
-                weights = (n_dk + self.alpha) * phi[:, w]
-                topic = sample_index(weights, rng)
-                z[i] = topic
-                n_dk[topic] += 1
-
-        theta = n_dk + self.alpha
-        return theta / theta.sum()
+        return self._fold_in_mixtures(encoded, self._phi, self.alpha)
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.topic.base import TopicModel
-from repro.models.topic.gibbs import notify_iteration, sample_index
+from repro.models.topic.gibbs import lda_sweep, notify_iteration
 from repro.models.topic.labels import LabelExtractor
 
 __all__ = ["LabeledLdaModel"]
@@ -59,6 +59,8 @@ class LabeledLdaModel(TopicModel):
         super().__init__(**kwargs)
         if n_latent_topics < 1:
             raise ConfigurationError(f"n_latent_topics must be >= 1, got {n_latent_topics}")
+        if (alpha is not None and not alpha > 0) or not beta > 0:
+            raise ConfigurationError(f"alpha and beta must be > 0, got {alpha}, {beta}")
         self.n_latent_topics = n_latent_topics
         self._alpha_param = alpha
         self.beta = beta
@@ -106,7 +108,7 @@ class LabeledLdaModel(TopicModel):
             allowed.append(np.concatenate([latent_ids, np.array(ids, dtype=int)]))
 
         n_dk = np.zeros((len(docs), k))
-        n_kw = np.zeros((k, vocab_size))
+        n_wk = np.zeros((vocab_size, k))  # word-major: one word's counts are a row
         n_k = np.zeros(k)
         assignments: list[np.ndarray] = []
         for d, doc in enumerate(docs):
@@ -115,58 +117,22 @@ class LabeledLdaModel(TopicModel):
             assignments.append(z)
             for w, topic in zip(doc, z):
                 n_dk[d, topic] += 1
-                n_kw[topic, w] += 1
+                n_wk[w, topic] += 1
                 n_k[topic] += 1
 
         v_beta = vocab_size * self.beta
         for iteration in range(self.iterations):
-            for d, doc in enumerate(docs):
-                z = assignments[d]
-                choices = allowed[d]
-                for i, w in enumerate(doc):
-                    topic = z[i]
-                    n_dk[d, topic] -= 1
-                    n_kw[topic, w] -= 1
-                    n_k[topic] -= 1
-                    weights = (
-                        (n_dk[d, choices] + self.alpha)
-                        * (n_kw[choices, w] + self.beta)
-                        / (n_k[choices] + v_beta)
-                    )
-                    topic = int(choices[sample_index(weights, rng)])
-                    z[i] = topic
-                    n_dk[d, topic] += 1
-                    n_kw[topic, w] += 1
-                    n_k[topic] += 1
+            lda_sweep(docs, assignments, n_dk, n_wk, n_k, self.alpha, self.beta, rng, allowed)
             notify_iteration(
                 self.iteration_hook, self.name, iteration + 1, self.iterations
             )
 
-        self._phi = (n_kw + self.beta) / (n_k[:, None] + v_beta)
+        self._phi = np.ascontiguousarray((n_wk.T + self.beta) / (n_k[:, None] + v_beta))
 
-    def _infer(self, doc: list[int]) -> np.ndarray:
+    def _infer_many(self, encoded: list[list[int]]) -> list[np.ndarray]:
         if self._phi is None:
             raise NotFittedError("LabeledLdaModel.fit was never called")
-        if not doc:
-            return self._uniform_theta()
-        k = self.n_topics
-        rng = self._rng
-        phi = self._phi
-
-        n_dk = np.zeros(k)
-        z = rng.integers(k, size=len(doc))
-        for topic in z:
-            n_dk[topic] += 1
-        for _ in range(self.infer_iterations):
-            for i, w in enumerate(doc):
-                topic = z[i]
-                n_dk[topic] -= 1
-                weights = (n_dk + self.alpha) * phi[:, w]
-                topic = sample_index(weights, rng)
-                z[i] = topic
-                n_dk[topic] += 1
-        theta = n_dk + self.alpha
-        return theta / theta.sum()
+        return self._fold_in_mixtures(encoded, self._phi, self.alpha)
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

@@ -39,6 +39,15 @@ class TestConfiguration:
         with pytest.raises(ConfigurationError):
             LdaModel(n_topics=0)
 
+    @pytest.mark.parametrize("priors", [
+        {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -0.01}, {"alpha": float("nan")},
+    ])
+    def test_priors_must_be_positive(self, priors):
+        # Strictly positive priors make every Gibbs weight positive, the
+        # premise of the bulk-drawn sweep and fold-in kernels.
+        with pytest.raises(ConfigurationError):
+            LdaModel(n_topics=5, **priors)
+
 
 class TestTraining:
     @pytest.fixture(scope="class")

@@ -40,6 +40,13 @@ class TestLabeledLda:
         with pytest.raises(ConfigurationError):
             LabeledLdaModel(n_latent_topics=0)
 
+    @pytest.mark.parametrize("priors", [
+        {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0}, {"beta": -0.01}, {"beta": float("nan")},
+    ])
+    def test_priors_must_be_positive(self, priors):
+        with pytest.raises(ConfigurationError):
+            LabeledLdaModel(n_latent_topics=2, **priors)
+
     def test_topic_inventory_is_latent_plus_labels(self, fitted):
         names = fitted.topic_names
         assert "Topic 1" in names and "Topic 2" in names
