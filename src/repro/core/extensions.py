@@ -105,10 +105,11 @@ class FolloweeRecommender:
             )
         user_model = self._profiles[user_id]
         already = self.dataset.graph.followees(user_id) | {user_id}
+        candidates = [uid for uid in self._profiles if uid not in already]
+        scores = self.model.score_many(user_model, [self._profiles[uid] for uid in candidates])
         scored = [
-            ScoredCandidate(candidate=uid, score=float(self.model.score(user_model, profile)))
-            for uid, profile in self._profiles.items()
-            if uid not in already
+            ScoredCandidate(candidate=uid, score=float(score))
+            for uid, score in zip(candidates, scores)
         ]
         scored.sort(key=lambda c: (-c.score, c.candidate))
         return scored[:k]
@@ -180,6 +181,9 @@ class HashtagRecommender:
             Tweet(tweet_id=-1, author_id=-1, text=text, timestamp=0)
         )
         target = self.model.represent(doc)
+        # Per pair on purpose: each tag profile is scored against the one
+        # target, the reverse of score_many's (user, candidates) order, and
+        # CS is not bitwise symmetric when both vectors have equal length.
         scored = [
             ScoredCandidate(candidate=tag, score=float(self.model.score(profile, target)))
             for tag, profile in self._profiles.items()
@@ -195,9 +199,10 @@ class HashtagRecommender:
         if not outgoing:
             raise EmptyCorpusError(f"user {user_id} has no tweets to profile")
         user_model = self.model.build_user_model(self._factory.to_docs(outgoing))
+        scores = self.model.score_many(user_model, list(self._profiles.values()))
         scored = [
-            ScoredCandidate(candidate=tag, score=float(self.model.score(user_model, profile)))
-            for tag, profile in self._profiles.items()
+            ScoredCandidate(candidate=tag, score=float(score))
+            for tag, score in zip(self._profiles, scores)
         ]
         scored.sort(key=lambda c: (-c.score, c.candidate))
         return scored[:k]

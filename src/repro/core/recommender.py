@@ -51,9 +51,10 @@ class RankingRecommender:
 
     def rank(self, user_model: Any, candidates: Sequence[Doc]) -> list[RankedItem]:
         """Candidates in decreasing similarity to the user model."""
+        doc_models = self.model.represent_many(candidates)
         scored = [
-            RankedItem(position=i, score=float(self.model.score(user_model, doc_model)))
-            for i, doc_model in enumerate(self.model.represent_many(candidates))
+            RankedItem(position=i, score=float(score))
+            for i, score in enumerate(self.model.score_many(user_model, doc_models))
         ]
         scored.sort(key=lambda item: (-item.score, item.position))
         return scored

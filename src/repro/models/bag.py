@@ -25,7 +25,7 @@ from typing import Any
 from repro.errors import ConfigurationError, NotFittedError
 from repro.models.aggregation import AggregationFunction, aggregate, normalised
 from repro.models.base import Doc, ProfileState, RepresentationModel
-from repro.models.similarity import VectorSimilarity, vector_similarity_function
+from repro.models.similarity import VectorSimilarity, vector_similarity_many_function
 from repro.models.weighting import (
     IdfTable,
     WeightingScheme,
@@ -169,7 +169,7 @@ class BagModel(RepresentationModel):
         self.rocchio_alpha = rocchio_alpha
         self.rocchio_beta = rocchio_beta
         self._idf: IdfTable | None = None
-        self._similarity_fn = vector_similarity_function(similarity)
+        self._score_many = vector_similarity_many_function(similarity)
 
     # -- n-gram extraction -------------------------------------------------
 
@@ -208,7 +208,12 @@ class BagModel(RepresentationModel):
         return BagProfileState(self)
 
     def score(self, user_model: SparseVector, doc_model: SparseVector) -> float:
-        return self._similarity_fn(user_model, doc_model)
+        return self._score_many(user_model, [doc_model])[0]
+
+    def score_many(
+        self, user_model: SparseVector, doc_models: Sequence[SparseVector]
+    ) -> list[float]:
+        return self._score_many(user_model, doc_models)
 
     def describe(self) -> dict[str, object]:
         return {

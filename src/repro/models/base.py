@@ -10,7 +10,8 @@ Every model in the paper fits the same mould (Definition 2.1):
 3. assemble the representations of a user's training documents into a
    single *user model* (:meth:`RepresentationModel.build_user_model`);
 4. score a candidate document against a user model
-   (:meth:`RepresentationModel.score`) -- higher means more relevant.
+   (:meth:`RepresentationModel.score`, or a batch of candidates with
+   :meth:`RepresentationModel.score_many`) -- higher means more relevant.
 
 Models consume :class:`Doc` objects, a minimal structural type carrying
 the normalised text and its tokens, so the same pipeline feeds
@@ -211,6 +212,15 @@ class RepresentationModel(abc.ABC):
     @abc.abstractmethod
     def score(self, user_model: Any, doc_model: Any) -> float:
         """Similarity between a user model and a document model."""
+
+    def score_many(self, user_model: Any, doc_models: Sequence[Any]) -> list[float]:
+        """:meth:`score` of the user model against each document model.
+
+        Equal to one :meth:`score` call per document model, in order;
+        families that can do the per-user work once per batch override
+        it.
+        """
+        return [self.score(user_model, doc_model) for doc_model in doc_models]
 
     def init_profile(self) -> ProfileState:
         """Fresh incremental profile state for this model.

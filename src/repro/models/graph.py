@@ -33,8 +33,11 @@ __all__ = [
     "GraphProfileState",
     "GraphSimilarity",
     "containment_similarity",
+    "containment_similarity_many",
     "value_similarity",
+    "value_similarity_many",
     "normalized_value_similarity",
+    "normalized_value_similarity_many",
     "TokenNGramGraphModel",
     "CharacterNGramGraphModel",
 ]
@@ -47,19 +50,42 @@ def _edge(a: str, b: str) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
+def _merge_into(edges: dict[Edge, float], other: dict[Edge, float], learning_factor: float) -> None:
+    """The update operator, in place: ``edges`` moves towards ``other``.
+
+    Common edges become ``w + (w_other - w) * learning_factor``; edges
+    only in ``other`` are adopted against a zero prior, i.e.
+    ``w_other * learning_factor``; edges only in ``edges`` are kept.
+    """
+    if not 0.0 < learning_factor <= 1.0:
+        raise ValidationError(f"learning factor must be in (0, 1], got {learning_factor}")
+    get = edges.get
+    for key, w_other in other.items():
+        w = get(key, 0.0)
+        edges[key] = w + (w_other - w) * learning_factor
+
+
 class NGramGraph:
     """An undirected weighted graph over n-grams.
 
-    Stored as a ``dict[Edge, float]``; vertices are implicit (the n-grams
-    appearing in at least one edge). ``|G|`` -- the graph *size* used by
-    every similarity measure -- is the number of edges, as in the source
-    papers.
+    Stored as a ``dict[Edge, float]`` keyed by canonical (sorted) edges,
+    so the similarity kernels look edges of one graph up in the other
+    directly; vertices are implicit (the n-grams appearing in at least
+    one edge). ``|G|`` -- the graph *size* used by every similarity
+    measure -- is the number of edges, as in the source papers.
     """
 
     __slots__ = ("_edges",)
 
     def __init__(self, edges: dict[Edge, float] | None = None):
         self._edges: dict[Edge, float] = dict(edges) if edges else {}
+
+    @classmethod
+    def _owning(cls, edges: dict[Edge, float]) -> "NGramGraph":
+        """A graph that takes ``edges`` as its storage, without a copy."""
+        graph = cls.__new__(cls)
+        graph._edges = edges
+        return graph
 
     @classmethod
     def from_ngrams(cls, grams: Sequence[str], window: int) -> "NGramGraph":
@@ -73,11 +99,12 @@ class NGramGraph:
         if window < 1:
             raise ValidationError(f"window must be >= 1, got {window}")
         edges: dict[Edge, float] = {}
-        for i, gram in enumerate(grams):
-            for j in range(i + 1, min(i + window + 1, len(grams))):
-                key = _edge(gram, grams[j])
-                edges[key] = edges.get(key, 0.0) + 1.0
-        return cls(edges)
+        get = edges.get
+        for i, a in enumerate(grams):
+            for b in grams[i + 1 : i + window + 1]:
+                key = (a, b) if a <= b else (b, a)
+                edges[key] = get(key, 0.0) + 1.0
+        return cls._owning(edges)
 
     # -- mapping-ish surface -------------------------------------------------
 
@@ -112,13 +139,9 @@ class NGramGraph:
         a zero prior, i.e. ``w = w_other * learning_factor``; edges only
         in ``self`` are kept unchanged.
         """
-        if not 0.0 < learning_factor <= 1.0:
-            raise ValidationError(f"learning factor must be in (0, 1], got {learning_factor}")
         merged = dict(self._edges)
-        for key, w_other in other._edges.items():
-            w_self = merged.get(key, 0.0)
-            merged[key] = w_self + (w_other - w_self) * learning_factor
-        return NGramGraph(merged)
+        _merge_into(merged, other._edges, learning_factor)
+        return NGramGraph._owning(merged)
 
     @classmethod
     def merge_all(cls, graphs: Sequence["NGramGraph"]) -> "NGramGraph":
@@ -127,10 +150,10 @@ class NGramGraph:
         The ``i``-th graph (1-based) is merged with learning factor
         ``1 / i``, so the result holds running-average edge weights.
         """
-        model = cls()
+        edges: dict[Edge, float] = {}
         for i, graph in enumerate(graphs, start=1):
-            model = model.updated(graph, 1.0 / i)
-        return model
+            _merge_into(edges, graph._edges, 1.0 / i)
+        return cls._owning(edges)
 
 
 # -- similarity measures ------------------------------------------------------
@@ -147,49 +170,90 @@ class GraphSimilarity(str, enum.Enum):
         return self.value
 
 
-def containment_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
-    """CoS: fraction of shared edges, normalised by the smaller graph."""
-    if len(g1) == 0 or len(g2) == 0:
-        return 0.0
-    small, large = (g1, g2) if len(g1) <= len(g2) else (g2, g1)
-    shared = sum(1 for edge, _ in small.edges() if edge in large)
-    return shared / len(small)
+def containment_similarity_many(g1: NGramGraph, graphs: Sequence[NGramGraph]) -> list[float]:
+    """CoS of ``g1`` with each of ``graphs``: the fraction of shared
+    edges, normalised by the smaller graph."""
+    edges1 = g1._edges
+    n1 = len(edges1)
+    scores: list[float] = []
+    for g2 in graphs:
+        edges2 = g2._edges
+        n2 = len(edges2)
+        if n1 == 0 or n2 == 0:
+            scores.append(0.0)
+        elif n1 <= n2:
+            scores.append(sum(1 for edge in edges1 if edge in edges2) / n1)
+        else:
+            scores.append(sum(1 for edge in edges2 if edge in edges1) / n2)
+    return scores
 
 
-def value_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
-    """VS: weight-aware overlap, normalised by the larger graph."""
-    if len(g1) == 0 or len(g2) == 0:
-        return 0.0
-    small, large = (g1, g2) if len(g1) <= len(g2) else (g2, g1)
-    total = 0.0
-    for (a, b), w_small in small.edges():
-        w_large = large.weight(a, b)
-        if w_large > 0.0 and w_small > 0.0:
-            total += min(w_small, w_large) / max(w_small, w_large)
-    return total / max(len(g1), len(g2))
+def _value_overlap_many(
+    g1: NGramGraph, graphs: Sequence[NGramGraph], size: Callable[[int, int], int]
+) -> list[float]:
+    """``sum(min(w_s, w_l) / max(w_s, w_l))`` over the edges of the smaller
+    graph that carry a positive weight in both, in its stored order,
+    divided by ``size(|g1|, |g2|)``."""
+    edges1 = g1._edges
+    n1 = len(edges1)
+    scores: list[float] = []
+    for g2 in graphs:
+        edges2 = g2._edges
+        n2 = len(edges2)
+        if n1 == 0 or n2 == 0:
+            scores.append(0.0)
+            continue
+        small, large = (edges1, edges2) if n1 <= n2 else (edges2, edges1)
+        get = large.get
+        total = 0.0
+        for edge, w_small in small.items():
+            w_large = get(edge, 0.0)
+            if w_large > 0.0 and w_small > 0.0:
+                if w_large < w_small:
+                    total += w_large / w_small
+                else:
+                    total += w_small / w_large
+        scores.append(total / size(n1, n2))
+    return scores
 
 
-def normalized_value_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
-    """NS: like VS but normalised by the *smaller* graph.
+def value_similarity_many(g1: NGramGraph, graphs: Sequence[NGramGraph]) -> list[float]:
+    """VS of ``g1`` with each of ``graphs``: weight-aware overlap,
+    normalised by the larger graph."""
+    return _value_overlap_many(g1, graphs, max)
+
+
+def normalized_value_similarity_many(
+    g1: NGramGraph, graphs: Sequence[NGramGraph]
+) -> list[float]:
+    """NS of ``g1`` with each of ``graphs``: like VS but normalised by the
+    *smaller* graph.
 
     Mitigates the imbalance between a large user graph and a small tweet
     graph, which drives VS towards 0.
     """
-    if len(g1) == 0 or len(g2) == 0:
-        return 0.0
-    small, large = (g1, g2) if len(g1) <= len(g2) else (g2, g1)
-    total = 0.0
-    for (a, b), w_small in small.edges():
-        w_large = large.weight(a, b)
-        if w_large > 0.0 and w_small > 0.0:
-            total += min(w_small, w_large) / max(w_small, w_large)
-    return total / min(len(g1), len(g2))
+    return _value_overlap_many(g1, graphs, min)
+
+
+def containment_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
+    """CoS: fraction of shared edges, normalised by the smaller graph."""
+    return containment_similarity_many(g1, [g2])[0]
+
+
+def value_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
+    """VS: weight-aware overlap, normalised by the larger graph."""
+    return value_similarity_many(g1, [g2])[0]
+
+
+def normalized_value_similarity(g1: NGramGraph, g2: NGramGraph) -> float:
+    """NS: like VS but normalised by the *smaller* graph."""
+    return normalized_value_similarity_many(g1, [g2])[0]
 
 
 _GRAPH_SIMILARITIES = {
-    GraphSimilarity.CONTAINMENT: containment_similarity,
-    GraphSimilarity.VALUE: value_similarity,
-    GraphSimilarity.NORMALIZED_VALUE: normalized_value_similarity,
+    GraphSimilarity.CONTAINMENT: containment_similarity_many,
+    GraphSimilarity.VALUE: value_similarity_many,
+    GraphSimilarity.NORMALIZED_VALUE: normalized_value_similarity_many,
 }
 
 
@@ -199,11 +263,10 @@ _GRAPH_SIMILARITIES = {
 class GraphProfileState(ProfileState):
     """Incremental n-gram-graph profile for the graph family.
 
-    The running user graph folds each positive document graph with
-    learning factor ``1 / i`` for the ``i``-th contribution -- the exact
-    sequence of :meth:`NGramGraph.updated` calls that
-    :meth:`NGramGraph.merge_all` performs, so the incremental profile is
-    bit-identical to the batch one. The update operator is **not**
+    The running user graph folds each positive document graph, in place,
+    with learning factor ``1 / i`` for the ``i``-th contribution -- the
+    exact sequence of merges that :meth:`NGramGraph.merge_all` performs,
+    so the incremental profile is bit-identical to the batch one. The update operator is **not**
     commutative, which is why :class:`~repro.models.base.ProfileState`
     pins the fold order to ``(timestamp, tweet_id)``.
 
@@ -216,28 +279,28 @@ class GraphProfileState(ProfileState):
         super().__init__()
         self._model = model
         self._entries: list[tuple[Any, NGramGraph]] = []
-        self._graph = NGramGraph()
+        self._edges: dict[Edge, float] = {}
 
     def _fold(self, key: Any, doc: Doc, label: int | None) -> None:
         if label is not None and label != 1:
             return
         graph = self._model.represent(doc)
         self._entries.append((key, graph))
-        self._graph = self._graph.updated(graph, 1.0 / len(self._entries))
+        _merge_into(self._edges, graph._edges, 1.0 / len(self._entries))
 
     def value(self) -> NGramGraph:
-        return NGramGraph(dict(self._graph.edges()))
+        return NGramGraph(self._edges)
 
     def decayed(self, weight_fn: Callable[[Any], float]) -> NGramGraph:
-        merged = NGramGraph()
+        edges: dict[Edge, float] = {}
         mass = 0.0
         for key, graph in self._entries:
             weight = weight_fn(key)
             if weight <= 0.0:
                 continue
             mass += weight
-            merged = merged.updated(graph, weight / mass)
-        return merged
+            _merge_into(edges, graph._edges, weight / mass)
+        return NGramGraph._owning(edges)
 
 
 class GraphModel(RepresentationModel):
@@ -257,7 +320,7 @@ class GraphModel(RepresentationModel):
             raise ConfigurationError(f"n must be >= 1, got {n}")
         self.n = n
         self.similarity = GraphSimilarity(similarity)
-        self._similarity_fn = _GRAPH_SIMILARITIES[self.similarity]
+        self._score_many = _GRAPH_SIMILARITIES[self.similarity]
 
     def extract(self, doc: Doc) -> list[str]:
         raise NotImplementedError
@@ -286,7 +349,10 @@ class GraphModel(RepresentationModel):
         return GraphProfileState(self)
 
     def score(self, user_model: NGramGraph, doc_model: NGramGraph) -> float:
-        return self._similarity_fn(user_model, doc_model)
+        return self._score_many(user_model, [doc_model])[0]
+
+    def score_many(self, user_model: NGramGraph, doc_models: Sequence[NGramGraph]) -> list[float]:
+        return self._score_many(user_model, doc_models)
 
     def describe(self) -> dict[str, object]:
         return {"model": self.name, "n": self.n, "similarity": self.similarity.value}

@@ -6,7 +6,7 @@ The paper's three schemes (Section 3.2, "Bag Models"):
 * **TF**     -- term frequency normalised by document length:
   ``f_j / N_d``;
 * **TF-IDF** -- TF discounted by inverse document frequency:
-  ``TF * log(|D| / (df_j + 1))``.
+  ``TF * log(|D| / (df_j + 1))`` (floored at 0; see :class:`IdfTable`).
 
 Vectors are sparse ``dict[str, float]`` mappings -- tweets have a handful
 of n-grams, so dense vectors would waste both memory and time.
@@ -38,23 +38,30 @@ class WeightingScheme(str, enum.Enum):
 class IdfTable:
     """Inverse document frequencies learned from a training corpus.
 
-    ``idf(t) = log(|D| / (df(t) + 1))`` exactly as in the paper. Unseen
-    n-grams get ``log(|D| / 1)``, the maximum IDF, which is the natural
-    limit of the same formula at ``df = 0``.
+    ``idf(t) = log(|D| / (df(t) + 1))`` as in the paper, floored at 0: a
+    term in every training document would get ``log(|D| / (|D| + 1)) < 0``,
+    a negative weight that carries no evidence and that generalized
+    Jaccard rejects, so it weighs 0 instead. Unseen n-grams get
+    ``log(|D| / 1)``, the maximum IDF, which is the natural limit of the
+    same formula at ``df = 0``. :meth:`fit` tabulates every seen term's
+    IDF, so weighting a document is one lookup per n-gram.
     """
 
     def __init__(self) -> None:
-        self._df: Counter[str] = Counter()
         self._n_docs: int | None = None
+        self._idf: dict[str, float] = {}
+        self._unseen = 0.0
 
     def fit(self, documents: Iterable[Iterable[str]]) -> "IdfTable":
         """Count document frequencies over n-gram streams."""
-        self._df = Counter()
+        df: Counter[str] = Counter()
         n_docs = 0
         for grams in documents:
-            self._df.update(set(grams))
+            df.update(set(grams))
             n_docs += 1
         self._n_docs = n_docs
+        self._idf = {g: max(math.log(n_docs / (d + 1)), 0.0) for g, d in df.items()}
+        self._unseen = math.log(n_docs) if n_docs else 0.0
         return self
 
     @property
@@ -63,15 +70,18 @@ class IdfTable:
             raise NotFittedError("IdfTable.fit was never called")
         return self._n_docs
 
-    def idf(self, gram: str) -> float:
+    def lookup(self) -> tuple[dict[str, float], float]:
+        """The fitted ``{term: idf}`` table and the unseen-term IDF."""
         if self._n_docs is None:
             raise NotFittedError("IdfTable.fit was never called")
-        if self._n_docs == 0:
-            return 0.0
-        return math.log(self._n_docs / (self._df.get(gram, 0) + 1))
+        return self._idf, self._unseen
+
+    def idf(self, gram: str) -> float:
+        table, unseen = self.lookup()
+        return table.get(gram, unseen)
 
     def __contains__(self, gram: str) -> bool:
-        return gram in self._df
+        return gram in self._idf
 
 
 def bf_vector(grams: Sequence[str]) -> dict[str, float]:
@@ -90,4 +100,6 @@ def tf_vector(grams: Sequence[str]) -> dict[str, float]:
 
 def tf_idf_vector(grams: Sequence[str], idf_table: IdfTable) -> dict[str, float]:
     """TF-IDF sparse vector using a fitted :class:`IdfTable`."""
-    return {g: w * idf_table.idf(g) for g, w in tf_vector(grams).items()}
+    table, unseen = idf_table.lookup()
+    idf = table.get
+    return {g: w * idf(g, unseen) for g, w in tf_vector(grams).items()}

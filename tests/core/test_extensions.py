@@ -55,6 +55,13 @@ class TestFolloweeRecommender:
         bottom = sum(ground_truth(c) for c in suggestions[-3:]) / 3
         assert top >= bottom - 0.1  # content similarity tracks interest similarity
 
+    def test_batched_scores_equal_per_pair_scores(self, small_dataset, recommender):
+        uid = self._profiled_user(recommender)
+        user_model = recommender._profiles[uid]
+        for c in recommender.recommend(uid, k=len(small_dataset.users)):
+            expected = recommender.model.score(user_model, recommender._profiles[c.candidate])
+            assert c.score.hex() == float(expected).hex()
+
     def test_unprofiled_user_raises(self, small_dataset, recommender):
         quiet = [
             u.user_id for u in small_dataset.users
@@ -115,6 +122,21 @@ class TestHashtagRecommender:
         suggestions = recommender.recommend_for_user(uid, k=4)
         assert suggestions
         assert all(c.candidate in recommender.known_tags for c in suggestions)
+
+    def test_user_scores_equal_per_pair_scores(self, small_dataset, recommender):
+        uid = max(
+            (u.user_id for u in small_dataset.users),
+            key=lambda u: len(small_dataset.outgoing(u)),
+        )
+        model = recommender.model
+        user_model = model.build_user_model(
+            recommender._factory.to_docs(small_dataset.outgoing(uid))
+        )
+        suggestions = recommender.recommend_for_user(uid, k=len(recommender.known_tags))
+        assert len(suggestions) == len(recommender.known_tags)
+        for c in suggestions:
+            expected = model.score(user_model, recommender._profiles[c.candidate])
+            assert c.score.hex() == float(expected).hex()
 
     def test_user_without_tweets_raises(self, small_dataset, recommender):
         quiet = [

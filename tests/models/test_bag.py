@@ -116,6 +116,17 @@ class TestScoring:
         um = model.build_user_model([doc("a b")])
         assert math.isclose(model.score(um, model.represent(doc("b c"))), 1 / 3)
 
+    def test_tf_idf_gjs_scores_a_term_in_every_training_document(self):
+        # "news" is in every document; an unfloored IDF made its weight
+        # negative and GJS raised for this paper-valid configuration.
+        model = TokenNGramModel(1, weighting="TF-IDF", aggregation="centroid", similarity="GJS")
+        corpus = [doc("news today rain"), doc("news sports win"), doc("news election vote")]
+        model.fit(corpus)
+        um = model.build_user_model(corpus[:2])
+        score = model.score(um, model.represent(doc("news rain win")))
+        assert 0.0 < score <= 1.0
+        assert model.score_many(um, [model.represent(doc("news"))]) == [0.0]
+
     def test_describe_lists_configuration(self):
         model = TokenNGramModel(
             n=2, weighting="TF", aggregation="centroid", similarity="GJS"

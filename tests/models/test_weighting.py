@@ -75,6 +75,13 @@ class TestIdfTable:
         table = IdfTable().fit([])
         assert table.idf("anything") == 0.0
 
+    def test_term_in_every_document_is_floored_at_zero(self):
+        # log(3 / (3 + 1)) < 0: such a term carries no evidence, so 0.
+        table = IdfTable().fit([["news", "a"], ["news", "b"], ["news", "c"]])
+        assert table.idf("news") == 0.0
+        assert tf_idf_vector(["news", "a"], table)["news"] == 0.0
+        assert math.isclose(table.idf("a"), math.log(3 / 2))
+
 
 class TestTfIdf:
     def test_combines_tf_and_idf(self):
